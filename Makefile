@@ -75,10 +75,14 @@ test-race:
 # propagation vs the no-cancel baseline, plus wasted handler executions),
 # and live shard migration (read p50/p99 before, during dual-read, and
 # after cutover, plus reader errors across the cutover itself).
-# The benchstat-compatible output lands in BENCH_PR9.json so runs can be
-# diffed across PRs (benchstat old.json new.json).
+# The benchstat-compatible output lands in $(BENCH_OUT) so runs can be
+# diffed across changes (benchstat old.txt new.txt); set PR, or BENCH_OUT
+# itself, to name the run: make bench PR=12.
+PR ?= dev
+BENCH_OUT ?= bench/PR$(PR).txt
 bench:
-	$(GO) test -run xxx -bench 'CompiledEval|Volcano|RemoteQuery|PreparedStatements|ScatterGather|PartitionPruning|Failover|HedgedTail|ReplicaThroughput|Overload|Cancellation|LiveMigration' -benchmem . | tee BENCH_PR9.json
+	@mkdir -p "$(dir $(BENCH_OUT))"
+	$(GO) test -run xxx -bench 'CompiledEval|Volcano|RemoteQuery|PreparedStatements|ScatterGather|PartitionPruning|Failover|HedgedTail|ReplicaThroughput|Overload|Cancellation|LiveMigration' -benchmem . | tee $(BENCH_OUT)
 
 # The seeded fault-injection suite: chaos-proxy unit tests, the admission
 # gate and retry-budget tests, the chaos soaks (overload -> partition ->

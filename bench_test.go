@@ -66,7 +66,7 @@ func BenchmarkFigure2Pipeline(b *testing.B) {
 		}
 	})
 	b.Run("prepare-warm", func(b *testing.B) {
-		// Parse + expand + compile + optimize with a hot plan cache.
+		// A prepared-cache hit: the front half is skipped.
 		if _, _, err := f.M.Prepare(paperQuery); err != nil {
 			b.Fatal(err)
 		}
@@ -355,8 +355,9 @@ func BenchmarkPreparedStatements(b *testing.B) {
 	defer f.Close()
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			// Distinct texts defeat the cache: full pipeline each time.
-			q := fmt.Sprintf("select x.name from x in person where x.salary > %d", i%1000)
+			// A fresh literal every iteration: no text repeats, so every
+			// Prepare misses and runs parse, expand, compile and optimize.
+			q := fmt.Sprintf("select x.name from x in person where x.salary > %d", i)
 			if _, _, err := f.M.Prepare(q); err != nil {
 				b.Fatal(err)
 			}
@@ -738,27 +739,6 @@ func BenchmarkEarleyRecognizer(b *testing.B) {
 			b.Fatal("grammar should accept")
 		}
 	}
-}
-
-// BenchmarkPlanCache measures optimization with and without the plan cache
-// (§3.3's cached-plan requirement).
-func BenchmarkPlanCache(b *testing.B) {
-	f, err := harness.NewPersonFleet(harness.FleetConfig{Sources: 4, RowsPerSource: 10})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	b.Run("hit", func(b *testing.B) {
-		if _, _, err := f.M.Prepare(paperQuery); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, tr, err := f.M.Prepare(paperQuery); err != nil || !tr.CacheHit {
-				b.Fatal("expected cache hit")
-			}
-		}
-	})
 }
 
 // BenchmarkWireValueCodec measures the tagged value encoding used on every

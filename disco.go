@@ -284,10 +284,12 @@
 //
 // Repeated queries skip recompilation entirely: Prepare results — parse,
 // view expansion, compilation and optimization — are cached per (query
-// text, catalog version), so a repeated query goes straight to execution.
-// Trace.CacheHit reports the hit (with all front-half stage timings at
-// zero) and any ODL change invalidates the cache, the paper's §3.3
-// cached-plan rule applied to the whole pipeline.
+// text, catalog version) in one bounded prepared-statement cache, the
+// mediator's only plan cache, so a repeated query goes straight to
+// execution. Query, Prepare, ExplainPlan and Explain all take their plan
+// from it. Trace.CacheHit reports a hit (with all front-half stage timings
+// at zero); any ODL change or circuit-breaker transition invalidates the
+// cache, the paper's §3.3 cached-plan rule applied to the whole pipeline.
 //
 // The execution engine itself is compiled and batched. Every scalar
 // expression a plan evaluates per tuple — predicates, projections, join

@@ -132,7 +132,7 @@ func TestLowerMediatorStillAnswersDirectly(t *testing.T) {
 }
 
 // TestConcurrentQueriesOneMediator: the mediator is safe under parallel
-// queries (shared catalog, optimizer cache, cost history, wrappers).
+// queries (shared catalog, prepared cache, cost history, wrappers).
 func TestConcurrentQueriesOneMediator(t *testing.T) {
 	m := paperMediator(t)
 	queries := []string{

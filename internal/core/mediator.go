@@ -224,18 +224,14 @@ func New(opts ...Option) *Mediator {
 	m.opt = optimizer.NewWithCapabilities(&mediatorCaps{m: m}, m.history)
 	// The cost model consults the breakers: a submit to a source whose
 	// breaker is open is charged the evaluation timeout it would likely
-	// burn, and breaker transitions flush cached plan choices — the
-	// optimizer's plan cache and the prepared-statement cache both, since
-	// a prepared entry would otherwise keep serving an availability-
+	// burn, and breaker transitions flush the prepared-statement cache,
+	// since a prepared entry would otherwise keep serving an availability-
 	// penalized plan without ever re-optimizing.
 	m.opt.SetAvailability(
 		func(repo string) bool { return m.breakers.State(repo) != BreakerOpen },
 		float64(m.timeout)/float64(time.Millisecond),
 	)
-	m.breakers.SetNotify(func() {
-		m.opt.InvalidateCache()
-		m.flushPrepared()
-	})
+	m.breakers.SetNotify(m.flushPrepared)
 	return m
 }
 

@@ -481,31 +481,6 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
-func TestPlanCacheAcrossExtentChanges(t *testing.T) {
-	m := paperMediator(t)
-	const q = `select x.name from x in person`
-	if _, tr, err := m.QueryTraced(q); err != nil || tr.CacheHit {
-		t.Fatalf("first run: err=%v hit=%v", err, tr != nil && tr.CacheHit)
-	}
-	if _, tr, err := m.QueryTraced(q); err != nil || !tr.CacheHit {
-		t.Fatalf("second run should hit the plan cache")
-	}
-	// Dropping an extent invalidates cached plans and changes the answer.
-	if err := m.ExecODL(`drop extent person1;`); err != nil {
-		t.Fatal(err)
-	}
-	v, tr, err := m.QueryTraced(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.CacheHit {
-		t.Error("extent drop must invalidate the plan cache")
-	}
-	if v.(*types.Bag).Len() != 1 {
-		t.Errorf("after drop: %s", v)
-	}
-}
-
 func TestODLErrors(t *testing.T) {
 	m := paperMediator(t)
 	bad := []string{

@@ -4,6 +4,7 @@ import (
 	"strings"
 
 	"disco/internal/algebra"
+	"disco/internal/optimizer"
 	"disco/internal/oql"
 	"disco/internal/wire"
 	"disco/internal/wrapper"
@@ -14,15 +15,17 @@ import (
 const maxPreparedPlans = 256
 
 // preparedPlan is one cached Prepare result: the optimized plan for a query
-// text, valid for the catalog version the cache was built against, plus the
-// compiled expression programs of the plan's operators. The programs cache
-// rides the plan entry, so re-executing a prepared query skips expression
-// compilation along with parse/expand/compile/optimize, and is evicted and
-// invalidated with it.
+// text, valid for the catalog version the cache was built against, the
+// optimizer's report on it (what Explain renders), plus the compiled
+// expression programs of the plan's operators. The programs cache rides the
+// plan entry, so re-executing a prepared query skips expression compilation
+// along with parse/expand/compile/optimize, and is evicted and invalidated
+// with it.
 type preparedPlan struct {
-	plan  algebra.Node
-	str   string
-	progs *oql.ProgramCache
+	plan   algebra.Node
+	str    string
+	report *optimizer.Report
+	progs  *oql.ProgramCache
 }
 
 // preparedLookup returns the cached plan and its program cache for a query

@@ -2,9 +2,14 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"disco/internal/algebra"
+	"disco/internal/types"
 )
 
 // TestPreparedStatementCacheHit: a repeated query skips the whole front
@@ -61,12 +66,15 @@ func TestPreparedStatementCacheInvalidation(t *testing.T) {
 	if err := m.ExecODL(`drop extent person1;`); err != nil {
 		t.Fatal(err)
 	}
-	_, tr, err := m.QueryTraced(q)
+	v, tr, err := m.QueryTraced(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.CacheHit {
 		t.Error("catalog change must invalidate the prepared-statement cache")
+	}
+	if !v.Equal(types.NewBag(types.Str("Mary"))) {
+		t.Errorf("after drop: %s, want only person0's Mary", v)
 	}
 	// And the recompiled plan hits again afterwards.
 	if _, tr, err := m.QueryTraced(q); err != nil || !tr.CacheHit {
@@ -253,5 +261,146 @@ func TestPreparedPlanSharesCompiledPrograms(t *testing.T) {
 	}
 	if e3.progs == e1.progs {
 		t.Error("catalog change must invalidate the compiled programs with the plan")
+	}
+}
+
+// TestPrepareManyDistinctTextsBounded: the prepared cache is the mediator's
+// only plan cache, so a stream of never-repeating texts on one catalog
+// version retains at most maxPreparedPlans plans — no second cache behind
+// it keeps every optimized plan alive.
+func TestPrepareManyDistinctTextsBounded(t *testing.T) {
+	const (
+		texts    = 20000
+		maxGrowB = 16 << 20
+	)
+	m := paperMediator(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < texts; i++ {
+		q := fmt.Sprintf(`select x.name from x in person0 where x.salary > %d`, i)
+		if _, _, err := m.Prepare(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	m.prepMu.Lock()
+	n := len(m.prepared)
+	m.prepMu.Unlock()
+	if n > maxPreparedPlans {
+		t.Errorf("prepared cache holds %d plans, bound %d", n, maxPreparedPlans)
+	}
+	if grow := int64(after.HeapAlloc) - int64(before.HeapAlloc); grow > maxGrowB {
+		t.Errorf("heap grew %d bytes over %d distinct texts (%d B/text), bound %d",
+			grow, texts, grow/texts, maxGrowB)
+	}
+}
+
+// TestExplainSharesPreparePipeline is the differential check that Explain
+// runs the same front half as Prepare and Query: it fills and reads the
+// prepared cache, renders the same report on a miss and on a hit, marks
+// the plan Prepare returns as chosen, and follows catalog changes.
+func TestExplainSharesPreparePipeline(t *testing.T) {
+	viewMediator := func(t *testing.T) *Mediator {
+		m := paperMediator(t)
+		if err := m.Define(`define rich as select y from y in person where y.salary > 10`); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	cases := []struct {
+		name  string
+		setup func(t *testing.T) *Mediator
+		q     string
+		drop  string
+		gone  string // an extent the drop removes from the plan
+	}{
+		{
+			name:  "pruned-point",
+			setup: func(t *testing.T) *Mediator { m, _ := rangeMediator(t); return m },
+			q:     `select x.name from x in people where x.id = 10`,
+			drop:  `drop extent people;`,
+			gone:  "people",
+		},
+		{
+			name:  "partition-wise-join",
+			setup: func(t *testing.T) *Mediator { m, _ := coPartitionedMediator(t); return m },
+			q:     `select struct(name: x.name, amount: y.amount) from x in people, y in bonus where x.id = y.id`,
+			drop:  `drop extent bonus;`,
+			gone:  "bonus",
+		},
+		{
+			name:  "view-expanded",
+			setup: viewMediator,
+			q:     `select r.name from r in rich`,
+			drop:  `drop extent person1;`,
+			gone:  "person1",
+		},
+		{
+			name:  "contains",
+			setup: notesMediator,
+			q:     `select n.station from n in notes where contains(n.note, "reference")`,
+			drop:  `drop extent notes;`,
+			gone:  "notes",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m := c.setup(t)
+			if _, ok := m.preparedLookup(c.q, m.Catalog().Version()); ok {
+				t.Fatal("query already prepared before the first Explain")
+			}
+			miss, err := m.Explain(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := m.preparedLookup(c.q, m.Catalog().Version()); !ok {
+				t.Fatal("Explain did not fill the prepared cache")
+			}
+			hit, err := m.Explain(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hit != miss {
+				t.Errorf("Explain differs between miss and hit:\n%s\nvs\n%s", miss, hit)
+			}
+
+			plan, _, err := m.Prepare(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chosen := ""
+			for _, line := range strings.Split(miss, "\n") {
+				if strings.HasPrefix(line, "=>") {
+					chosen = line
+				}
+			}
+			if !strings.HasSuffix(chosen, "vals "+plan.String()) {
+				t.Errorf("Explain chose %q, Prepare returned %s", chosen, plan)
+			}
+			tree, err := m.ExplainPlan(c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tree != algebra.TreeString(plan) {
+				t.Errorf("ExplainPlan renders a different plan:\n%s\nwant\n%s", tree, algebra.TreeString(plan))
+			}
+
+			if _, tr, err := m.QueryTraced(c.q); err != nil || !tr.CacheHit ||
+				tr.Parse+tr.Expand+tr.Compile+tr.Optimize != 0 {
+				t.Fatalf("query after Explain must hit the prepared cache: err=%v trace=%+v", err, tr)
+			}
+
+			if !strings.Contains(miss, c.gone) {
+				t.Fatalf("plan never mentions %s:\n%s", c.gone, miss)
+			}
+			if err := m.ExecODL(c.drop); err != nil {
+				t.Fatal(err)
+			}
+			if after, err := m.Explain(c.q); err == nil && strings.Contains(after, c.gone) {
+				t.Errorf("Explain after %q still mentions %s:\n%s", c.drop, c.gone, after)
+			}
+		})
 	}
 }

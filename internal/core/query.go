@@ -21,6 +21,10 @@ type Trace struct {
 	Optimize time.Duration
 	Execute  time.Duration
 	Plan     string
+	// CacheHit is true when the query's plan came from the prepared-
+	// statement cache, the mediator's only plan cache: the front half
+	// (parse, expand, compile, optimize) was skipped and its four stage
+	// timings are zero.
 	CacheHit bool
 	// AdmissionWait is the time this query spent queued at the admission
 	// gate before execution began (zero when admitted immediately, or when
@@ -117,9 +121,12 @@ func (m *Mediator) Prepare(src string) (algebra.Node, *Trace, error) {
 	return entry.plan, tr, err
 }
 
-// prepare is Prepare plus the plan's compiled-program cache: executions of
-// a prepared plan share it, so operator expressions compile once per
-// prepared statement rather than once per query.
+// prepare is Prepare returning the whole cache entry: the plan's
+// compiled-program cache, which executions of a prepared plan share so
+// operator expressions compile once per prepared statement rather than once
+// per query, and the optimizer's report, which Explain renders. It is the
+// mediator's one front-half pipeline: every query path and Explain go
+// through it.
 func (m *Mediator) prepare(src string) (preparedPlan, *Trace, error) {
 	version := m.catalog.Version()
 	if entry, ok := m.preparedLookup(src, version); ok {
@@ -149,11 +156,10 @@ func (m *Mediator) prepare(src string) (preparedPlan, *Trace, error) {
 	tr.Compile = time.Since(t0)
 
 	t0 = time.Now()
-	optimized, report := m.opt.Optimize(plan, version)
+	optimized, report := m.opt.Optimize(plan)
 	tr.Optimize = time.Since(t0)
 	tr.Plan = optimized.String()
-	tr.CacheHit = report.CacheHit
-	entry := m.preparedStore(src, version, preparedPlan{plan: optimized, str: tr.Plan, progs: oql.NewProgramCache()})
+	entry := m.preparedStore(src, version, preparedPlan{plan: optimized, str: tr.Plan, report: report, progs: oql.NewProgramCache()})
 	return entry, tr, nil
 }
 
@@ -300,22 +306,15 @@ func (m *Mediator) OverloadStats() (shed, retried, retryBudgetExhausted int64) {
 }
 
 // Explain returns the optimizer's report for a query: every candidate plan
-// with its estimated cost, the chosen one marked.
+// with its estimated cost, the chosen one marked, followed by the live
+// hot-shard report. The optimizer's report comes from the prepared cache,
+// so Explain shares Prepare's pipeline and its catalog-version invalidation.
 func (m *Mediator) Explain(src string) (string, error) {
-	expr, err := oql.ParseQuery(src)
+	entry, _, err := m.prepare(src)
 	if err != nil {
 		return "", err
 	}
-	expanded, err := m.expandViews(expr)
-	if err != nil {
-		return "", err
-	}
-	plan, err := algebra.Compile(expanded, planResolver{m: m})
-	if err != nil {
-		return "", err
-	}
-	_, report := m.opt.Optimize(plan, m.catalog.Version())
-	out := report.String()
+	out := entry.report.String()
 	if hot := m.hotShardReport(); hot != "" {
 		if !strings.HasSuffix(out, "\n") {
 			out += "\n"

@@ -85,14 +85,11 @@ const paperQuery = `select x.name from x in person where x.salary > 10`
 // computation is done at the data source".
 func TestDefaultCostPushesMaximally(t *testing.T) {
 	o := New(fullCaps(), costmodel.New())
-	plan, report := o.Optimize(compile(t, paperQuery), 1)
+	plan, report := o.Optimize(compile(t, paperQuery))
 	s := plan.String()
 	// Both select and project must have moved into the submits.
 	if !strings.Contains(s, "submit(r0, project([name], select(salary > 10, get(person0))))") {
 		t.Errorf("chosen plan does not push maximally:\n%s\n%s", s, report)
-	}
-	if report.CacheHit {
-		t.Error("first optimization cannot be a cache hit")
 	}
 }
 
@@ -100,7 +97,7 @@ func TestDefaultCostPushesMaximally(t *testing.T) {
 // collapses to the unpushed plan.
 func TestScanWrappersForceMediatorPlan(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
-	plan, report := o.Optimize(compile(t, paperQuery), 1)
+	plan, report := o.Optimize(compile(t, paperQuery))
 	if strings.Contains(plan.String(), "submit(r0, select") || strings.Contains(plan.String(), "submit(r0, project") {
 		t.Errorf("nothing should push to scan wrappers:\n%s", plan)
 	}
@@ -136,44 +133,16 @@ func TestHistoryCanOverridePushdown(t *testing.T) {
 	}
 
 	o := New(fullCaps(), h)
-	plan, report := o.Optimize(compile(t, paperQuery), 1)
+	plan, report := o.Optimize(compile(t, paperQuery))
 	if strings.Contains(plan.String(), "submit(r0, select") {
 		t.Errorf("optimizer ignored the recorded slowness:\n%s\n%s", plan, report)
-	}
-}
-
-func TestPlanCache(t *testing.T) {
-	o := New(fullCaps(), costmodel.New())
-	q := compile(t, paperQuery)
-	p1, r1 := o.Optimize(q, 1)
-	p2, r2 := o.Optimize(compile(t, paperQuery), 1)
-	if r1.CacheHit || !r2.CacheHit {
-		t.Errorf("cache hits = %v, %v; want false, true", r1.CacheHit, r2.CacheHit)
-	}
-	if !algebra.Equal(p1, p2) {
-		t.Error("cache returned a different plan")
-	}
-	hits, misses := o.CacheStats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses", hits, misses)
-	}
-	// §3.3: extent updates invalidate cached plans.
-	_, r3 := o.Optimize(compile(t, paperQuery), 2)
-	if r3.CacheHit {
-		t.Error("version bump must invalidate the cache")
-	}
-	// Manual invalidation too.
-	o.InvalidateCache()
-	_, r4 := o.Optimize(compile(t, paperQuery), 2)
-	if r4.CacheHit {
-		t.Error("InvalidateCache should drop plans")
 	}
 }
 
 func TestJoinPushdownChosenForSameRepo(t *testing.T) {
 	o := New(fullCaps(), costmodel.New())
 	q := compile(t, `select struct(e: x.ename, m: y.mname) from x in employee0, y in manager0 where x.dept = y.mdept`)
-	plan, report := o.Optimize(q, 1)
+	plan, report := o.Optimize(q)
 	found := false
 	algebra.Walk(plan, func(n algebra.Node) {
 		if s, ok := n.(*algebra.Submit); ok {
@@ -195,7 +164,7 @@ func TestHeterogeneousCapabilities(t *testing.T) {
 		"r1": capability.Standard(capability.ScanOpSet()),
 	}
 	o := New(caps, costmodel.New())
-	plan, _ := o.Optimize(compile(t, paperQuery), 1)
+	plan, _ := o.Optimize(compile(t, paperQuery))
 	s := plan.String()
 	if !strings.Contains(s, "submit(r0, project([name], select(salary > 10, get(person0))))") {
 		t.Errorf("r0 branch should be fully pushed: %s", s)
@@ -207,7 +176,7 @@ func TestHeterogeneousCapabilities(t *testing.T) {
 
 func TestReportListsAlternatives(t *testing.T) {
 	o := New(fullCaps(), costmodel.New())
-	_, report := o.Optimize(compile(t, paperQuery), 1)
+	_, report := o.Optimize(compile(t, paperQuery))
 	if len(report.Candidates) < 2 {
 		t.Fatalf("candidates = %d, want several distinct plans", len(report.Candidates))
 	}
@@ -224,7 +193,7 @@ func TestReportListsAlternatives(t *testing.T) {
 
 func TestMissingWrapperMeansNoPushdown(t *testing.T) {
 	o := New(grammarMap{}, costmodel.New())
-	plan, _ := o.Optimize(compile(t, paperQuery), 1)
+	plan, _ := o.Optimize(compile(t, paperQuery))
 	if strings.Contains(plan.String(), "select(salary") {
 		t.Errorf("unknown wrappers must not receive pushdown: %s", plan)
 	}
@@ -232,7 +201,7 @@ func TestMissingWrapperMeansNoPushdown(t *testing.T) {
 
 func TestChosenCandidate(t *testing.T) {
 	o := New(fullCaps(), costmodel.New())
-	plan, report := o.Optimize(compile(t, paperQuery), 1)
+	plan, report := o.Optimize(compile(t, paperQuery))
 	chosen := report.ChosenCandidate()
 	if !algebra.Equal(chosen.Plan, plan) {
 		t.Error("ChosenCandidate should return the selected plan")

@@ -82,7 +82,7 @@ func joinShape(plan algebra.Node) (joins, crossShard int) {
 func TestCoPartitionedJoinCompilesPartitionWise(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
 	q := compilePart(t, `select struct(a: x.total, b: y.ref) from x in orders, y in invoices where x.id = y.id`)
-	plan, report := o.Optimize(q, 1)
+	plan, report := o.Optimize(q)
 	joins, crossShard := joinShape(plan)
 	if joins != 2 || crossShard != 0 {
 		t.Errorf("joins = %d (want one per shard, 2), cross-shard = %d (want 0):\n%s\n%s",
@@ -99,7 +99,7 @@ func TestCoPartitionedJoinCompilesPartitionWise(t *testing.T) {
 func TestDifferentPartitionAttrsStayGeneric(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
 	q := compilePart(t, `select struct(a: x.total, b: y.dept) from x in orders, y in depts where x.id = y.id`)
-	plan, _ := o.Optimize(q, 1)
+	plan, _ := o.Optimize(q)
 	if joins, crossShard := joinShape(plan); joins != 1 || crossShard != 1 {
 		t.Errorf("non-co-partitioned extents must keep the single all-shards join (joins=%d cross=%d):\n%s",
 			joins, crossShard, plan)
@@ -112,7 +112,7 @@ func TestDifferentPartitionAttrsStayGeneric(t *testing.T) {
 func TestJoinOffPartitionAttrStaysGeneric(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
 	q := compilePart(t, `select struct(a: x.id, b: y.id) from x in orders, y in invoices where x.total = y.ref`)
-	plan, _ := o.Optimize(q, 1)
+	plan, _ := o.Optimize(q)
 	if joins, crossShard := joinShape(plan); joins != 1 || crossShard != 1 {
 		t.Errorf("a join off the partition attribute must stay generic (joins=%d cross=%d):\n%s",
 			joins, crossShard, plan)
@@ -126,7 +126,7 @@ func TestPointQueryPrunesToOneSubmit(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
 	home := int(algebra.HashValue(types.Int(7)) % 2)
 	q := compilePart(t, `select x.total from x in orders where x.id = 7`)
-	plan, report := o.Optimize(q, 1)
+	plan, report := o.Optimize(q)
 	subs := algebra.Submits(plan)
 	if len(subs) != 1 {
 		t.Fatalf("point query plan has %d submits, want 1:\n%s", len(subs), plan)
@@ -148,7 +148,7 @@ func TestPointQueryPrunesToOneSubmit(t *testing.T) {
 func TestPartitionWiseCandidateWinsOnCost(t *testing.T) {
 	o := New(scanCaps(), costmodel.New())
 	q := compilePart(t, `select struct(a: x.total, b: y.ref) from x in orders, y in invoices where x.id = y.id`)
-	_, report := o.Optimize(q, 1)
+	_, report := o.Optimize(q)
 	var generic, partitionWise *Candidate
 	for i := range report.Candidates {
 		c := &report.Candidates[i]

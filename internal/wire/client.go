@@ -626,10 +626,13 @@ func (cc *clientConn) shutdown(err error) {
 	close(cc.done)
 }
 
-// fail is shutdown plus eviction from the pool.
+// fail is eviction from the pool plus shutdown. Eviction comes first: a
+// request woken by the shutdown redials at once, and the pool must not
+// hand it this dead connection again (a stale borrow fails instantly with
+// the old error, burning the redial attempts).
 func (cc *clientConn) fail(err error) {
-	cc.shutdown(err)
 	cc.c.remove(cc)
+	cc.shutdown(err)
 }
 
 // roundTrip registers the request, writes its frame, and waits for the

@@ -157,3 +157,42 @@ func TestPingBorrowRaceUnderLoad(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestFailEvictsBeforeShutdown: a failing connection leaves the pool before
+// its waiters wake. Otherwise a request woken by the death redials, is
+// handed the same dead connection, and fails again with the stale error —
+// under CPU contention every redial attempt can be burnt that way.
+func TestFailEvictsBeforeShutdown(t *testing.T) {
+	s := newTestServer(t)
+	c := NewClient(s.Addr())
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.Ping(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cc := firstConn(t, c)
+
+	// Holding the pool lock freezes eviction: the connection must not be
+	// shut down (its waiters woken) while it is still pooled.
+	c.mu.Lock()
+	failed := make(chan struct{})
+	go func() {
+		defer close(failed)
+		cc.fail(fmt.Errorf("injected"))
+	}()
+	select {
+	case <-cc.done:
+		c.mu.Unlock()
+		t.Fatal("connection shut down while still in the pool")
+	case <-time.After(50 * time.Millisecond):
+	}
+	c.mu.Unlock()
+	<-failed
+	c.mu.Lock()
+	n := len(c.conns)
+	c.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("pool holds %d conns after fail, want 0", n)
+	}
+}
