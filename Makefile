@@ -64,25 +64,26 @@ test-race:
 
 # The perf trajectory: compiled vs tree-walking expression evaluation,
 # batched vs tuple-at-a-time Volcano iteration, remote point-query
-# throughput (pooled vs dial-per-request wire connections at 1/4/16
-# concurrent clients), prepared-statement hits vs full recompiles,
-# scatter-gather fan-out and partition pruning across 1/4/16 partitions,
+# throughput (pooled wire connections at 1/4/16 concurrent clients),
+# prepared-statement hits vs full recompiles, scatter-gather fan-out and
+# partition pruning across 1/4/16 partitions,
 # replica failover with a dead primary (breaker-warm vs the cold timeout
 # path), the hedged-request tail cut with one slow copy (p99-ms, hedged vs
 # unhedged), read throughput scaling across 1/2/4 load-balanced copies,
 # overload protection (goodput-q/s, shed-%, admitted p99-ms at 1x/2x/4x
 # saturation), end-to-end cancellation (survivor goodput with cancel
-# propagation vs the no-cancel baseline, plus wasted handler executions),
-# and live shard migration (read p50/p99 before, during dual-read, and
-# after cutover, plus reader errors across the cutover itself).
-# The benchstat-compatible output lands in $(BENCH_OUT) so runs can be
-# diffed across changes (benchstat old.txt new.txt); set PR, or BENCH_OUT
-# itself, to name the run: make bench PR=12.
+# propagation, plus wasted handler executions), and live shard migration
+# (read p50/p99 before, during dual-read, and after cutover, plus reader
+# errors across the cutover itself).
+# Each benchmark runs 5 times (-count 5), so every recorded file carries a
+# spread. The benchstat-compatible output lands in $(BENCH_OUT) so runs can
+# be diffed across changes (benchstat old.txt new.txt); set PR, or
+# BENCH_OUT itself, to name the run: make bench PR=12.
 PR ?= dev
 BENCH_OUT ?= bench/PR$(PR).txt
 bench:
 	@mkdir -p "$(dir $(BENCH_OUT))"
-	$(GO) test -run xxx -bench 'CompiledEval|Volcano|RemoteQuery|PreparedStatements|ScatterGather|PartitionPruning|Failover|HedgedTail|ReplicaThroughput|Overload|Cancellation|LiveMigration' -benchmem . | tee $(BENCH_OUT)
+	$(GO) test -run xxx -bench 'CompiledEval|Volcano|RemoteQuery|PreparedStatements|ScatterGather|PartitionPruning|Failover|HedgedTail|ReplicaThroughput|Overload|Cancellation|LiveMigration' -benchmem -count 5 . | tee $(BENCH_OUT)
 
 # The seeded fault-injection suite: chaos-proxy unit tests, the admission
 # gate and retry-budget tests, the chaos soaks (overload -> partition ->

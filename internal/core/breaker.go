@@ -100,9 +100,10 @@ func (b *Breakers) get(repo string) *sourceBreaker {
 // exactly one probe (the timer of the half-open protocol); further calls
 // are refused until that probe reports Success or Failure.
 //
-// Allow is advisory: routing falls back to attempting a source whose
-// breaker refuses when no healthier copy of the data exists, so an open
-// breaker can delay but never forge an unavailability verdict.
+// Allow is advisory: a copy whose breaker refuses becomes a deferred arm
+// of its shard's read, dialed once no admittable copy is left to answer
+// (and a lone copy is dialed regardless), so an open breaker can delay but
+// never forge an unavailability verdict.
 func (b *Breakers) Allow(repo string) bool {
 	b.mu.Lock()
 	s := b.get(repo)
@@ -185,10 +186,10 @@ func (b *Breakers) Release(repo string) {
 }
 
 // Admittable reports whether Allow would admit the source right now,
-// without claiming the half-open probe slot. Routing uses it to partition
-// a shard's copies into healthy and deferred before any of them is dialed
-// — the deadline split needs the healthy count first — leaving the actual
-// slot claim to the Allow call made when a copy is launched.
+// without claiming the half-open probe slot. A shard read uses it to sort
+// its copies into arms and deferred arms before any is dialed — the
+// deadline split needs the admittable count first — leaving the slot
+// claim to the Allow call made when an arm launches.
 func (b *Breakers) Admittable(repo string) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -550,3 +550,39 @@ func TestCostHistoryLearnsFromExecution(t *testing.T) {
 		t.Error("execution should record exec costs for the submitted expressions")
 	}
 }
+
+// TestNegativeLiteralPushdown: a negative literal in a predicate pushed
+// through WrapperPostgres reaches the SQL source as a signed number, and
+// the answer matches the rows it selects.
+func TestNegativeLiteralPushdown(t *testing.T) {
+	m := New(WithTimeout(time.Second))
+	m.RegisterEngine("r0", shardStore(t, [][3]interface{}{
+		{1, "Neg", -5}, {2, "Low", -1}, {3, "Zero", 0}, {4, "Pos", 4},
+	}))
+	if err := m.ExecODL(`
+		r0 := Repository(address="mem:r0");
+		w0 := WrapperPostgres();
+		interface Person (extent person) {
+		    attribute Short id;
+		    attribute String name;
+		    attribute Short salary;
+		}
+		extent people of Person wrapper w0 repository r0;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]*types.Bag{
+		`select x.name from x in people where x.salary > -3`:           types.NewBag(types.Str("Low"), types.Str("Zero"), types.Str("Pos")),
+		`select x.name from x in people where x.salary = -5`:           types.NewBag(types.Str("Neg")),
+		`select x.name from x in people where x.salary in list(-1, 4)`: types.NewBag(types.Str("Low"), types.Str("Pos")),
+	} {
+		got, err := m.Query(q)
+		if err != nil {
+			t.Errorf("%s: %v", q, err)
+			continue
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s = %s, want %s", q, got, want)
+		}
+	}
+}

@@ -37,13 +37,12 @@ func (m *Mediator) buildPhysical(plan algebra.Node, progs *oql.ProgramCache) (*p
 }
 
 // submit is the mediator side of the exec physical algorithm (§3.3) with
-// replica failover: it executes the expression at the shard's primary and,
-// when the primary is classified unavailable, retries the shard's declared
-// replicas before giving up. Partial evaluation therefore fires only when
-// every copy of a shard is down. The per-source circuit breaker routes
-// around copies that recently failed (a warm breaker skips a dead primary
-// without re-paying its timeout) and the learned cost history orders the
-// healthy copies fastest-first.
+// replica failover: the shard's copies race as arms (submitShard,
+// raceCopies), so partial evaluation fires only when every copy of the
+// shard is unavailable. The per-source circuit breaker defers copies that
+// recently failed (a warm breaker skips a dead primary without re-paying
+// its timeout) and the learned cost history orders the healthy copies
+// fastest-first.
 func (m *Mediator) submit(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
 	refs := exprRefs(expr)
 	m.countShardReads(refs)
@@ -87,29 +86,18 @@ func allStandby(refs []algebra.ExtentRef) bool {
 	return true
 }
 
-// submitShard routes one shard read through failover, load balancing and
-// hedging.
-func (m *Mediator) submitShard(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
-	cands := m.submitCandidates(repo, expr)
-	if len(cands) == 1 {
-		bag, err := m.submitOnce(ctx, repo, expr)
-		m.noteOutcome(repo, err)
-		// A one-copy source gets the same background probe pass as a
-		// replica group: after an open breaker's cooldown, recovery is
-		// rediscovered by a ping instead of a user query re-paying the
-		// full timeout.
-		m.maybeProbe(repo)
-		return bag, err
-	}
-	ordered := m.orderCandidates(cands, expr)
+// submitShard routes one shard read: the shard's copies, ranked for
+// routing (breaker state, then learned cost; load balancing may move a
+// healthy copy to the head), race as arms in raceCopies. Half-open probes
+// ride query traffic afterwards: copies whose open breaker's cooldown has
+// elapsed are pinged in the background, so a recovered copy rejoins without
+// a user query paying for the discovery.
+func (m *Mediator) submitShard(ctx context.Context, shard string, expr algebra.Node) (*types.Bag, error) {
+	cands := m.orderCandidates(m.submitCandidates(shard, expr), expr)
 	if m.loadBalance {
-		ordered = m.rebalance(ordered)
+		cands = m.rebalance(cands)
 	}
-	bag, err := m.submitFailover(ctx, repo, expr, ordered)
-	// Half-open probes ride query traffic: copies this query routed around
-	// while their breaker was open are pinged in the background once their
-	// cooldown elapses, so a recovered primary rejoins without a user query
-	// paying for the discovery.
+	bag, err := m.raceCopies(ctx, shard, expr, cands)
 	for _, cand := range cands {
 		m.maybeProbe(cand)
 	}
@@ -238,183 +226,139 @@ func (m *Mediator) pingRepo(repo string) error {
 	return m.clientFor(r.Address).Ping(ctx)
 }
 
-// submitFailover tries the shard's candidate copies: copies whose breaker
-// admits them first — raced, so an unavailable or straggling copy hands
-// over to the next without the shard waiting out every timeout in series —
-// then, only if none of those answered, the copies whose breaker refused,
-// as a last resort. The breaker may therefore delay a copy behind the
-// healthy ones, but it can never leave a copy undialed while the shard
-// goes unanswered ("a breaker can delay but never forge a partial
-// answer"). A real (answered) error aborts immediately; classified
-// unavailability moves on to the next copy.
+// armResult carries one arm's outcome back to the race.
+type armResult struct {
+	bag   *types.Bag
+	err   error
+	hedge bool
+}
+
+// raceCopies is the one dial routine for a shard read. Every copy in cands
+// (routing order) is an arm of one race:
+//   - A copy whose breaker admits it is an arm. The first launches at once;
+//     the next when the newest arm resolves unavailable (failover), when the
+//     hedge timer fires (a hedged request), or when the scatter-gather
+//     straggler hook fires.
+//   - A copy whose breaker refuses it, up front or at its launch-time Allow,
+//     is a deferred arm. It launches only on unavailability, once no arm is
+//     in flight and no admittable arm is left, and never as a hedge. A
+//     breaker can therefore delay a copy, but never leave it undialed while
+//     the shard goes unanswered: it cannot forge a partial answer.
+//   - A lone copy is a one-arm race, dialed whatever its breaker says.
 //
-// The evaluation budget splits over the healthy copies first; the
-// deferred ones re-split whatever is left only if reached. Splitting over
-// all copies up front would let a crowd of breaker-refused replicas
-// starve the first healthy one of deadline.
-func (m *Mediator) submitFailover(ctx context.Context, shard string, expr algebra.Node, cands []string) (*types.Bag, error) {
-	var healthy, deferred []string
+// The first answer wins and the losers are cancelled. A cancelled loser
+// classifies as caller-side termination, so its breaker verdict is a slot
+// Release and its cost history records nothing: losing a race is not
+// evidence about the source. A real (answered) error aborts at once; the
+// shard is unavailable only once every arm resolved unavailable.
+//
+// The evaluation budget splits over the admittable arms plus one share the
+// deferred arms reserve together; they re-split whatever is left if
+// reached. Splitting over all copies up front would let a crowd of
+// breaker-refused copies starve the first admittable one of deadline.
+func (m *Mediator) raceCopies(ctx context.Context, shard string, expr algebra.Node, cands []string) (*types.Bag, error) {
+	var arms, deferred []string
 	for _, cand := range cands {
 		if m.breakers.Admittable(cand) {
-			healthy = append(healthy, cand)
+			arms = append(arms, cand)
 		} else {
 			deferred = append(deferred, cand)
 		}
 	}
-	// The deferred tail collectively reserves one deadline share: enough
-	// that the last resort is still dialable after the healthy copies
-	// burn their shares, without a crowd of refused copies starving the
-	// first healthy one.
 	reserve := 0
 	if len(deferred) > 0 {
 		reserve = 1
 	}
-	attempted := 0
-	var lastUnavail error
-	if len(healthy) > 0 && ctx.Err() == nil {
-		bag, err, done := m.raceArms(ctx, expr, healthy, reserve, &attempted, &deferred)
-		if done {
-			return bag, err
-		}
-		if err != nil {
-			lastUnavail = err
-		}
-	}
-	for i, cand := range deferred {
-		if ctx.Err() != nil {
-			break
-		}
-		actx, cancel := attemptCtx(ctx, len(deferred)-i)
-		bag, err := m.submitOnce(actx, cand, expr)
-		m.noteOutcome(cand, err)
-		cancel()
-		attempted++
-		if err == nil {
-			return bag, nil
-		}
-		if !isUnavailableErr(err) {
-			// The source answered with a genuine failure (or the caller
-			// ended the query): no replica may mask it.
-			return nil, err
-		}
-		lastUnavail = err
-	}
-	if attempted == 0 {
-		// The caller's context died before any copy could be dialed.
-		err := ctx.Err()
-		if err == nil {
-			err = errors.New("no candidate attempted")
-		}
-		return nil, classifySourceError(ctx, shard, fmt.Errorf("mediator: submit to %s: %w", shard, err))
-	}
-	return nil, &physical.UnavailableError{
-		Repo: shard,
-		Err:  fmt.Errorf("no replica answered: %w", lastUnavail),
-	}
-}
-
-// armResult carries one racing arm's outcome back to the coordinator.
-type armResult struct {
-	idx int
-	bag *types.Bag
-	err error
-}
-
-// raceArms drives a shard's healthy copies as racing arms. The first arm
-// launches immediately; another launches when the newest arm resolves
-// unavailable (plain failover), when it outlasts the hedge trigger
-// (hedged request), or when the scatter-gather straggler hook fires. The
-// first answer — or answered error — wins and the losers are cancelled. A
-// cancelled loser classifies as caller-side termination, so its breaker
-// verdict is a slot Release (neither success nor failure) and its cost
-// history records nothing: losing a race is not evidence about the
-// source.
-//
-// done=false means every arm resolved unavailable (err holds the last
-// unavailability) and the caller should fall through to the
-// breaker-deferred copies. Copies whose breaker refuses the launch-time
-// Allow (the state moved since partitioning) are appended to deferred.
-func (m *Mediator) raceArms(ctx context.Context, expr algebra.Node, healthy []string, reserve int, attempted *int, deferred *[]string) (*types.Bag, error, bool) {
-	results := make(chan armResult, len(healthy))
+	// One slot per copy, so a cancelled loser's send never blocks.
+	results := make(chan armResult, len(cands))
 	var cancels []context.CancelFunc
-	var isHedge []bool
-	next := 0
-	inflight := 0
-	launch := func(hedge bool) bool {
-		for next < len(healthy) {
-			cand := healthy[next]
-			remaining := len(healthy) - next + reserve
-			next++
-			if !m.breakers.Allow(cand) {
-				*deferred = append(*deferred, cand)
-				continue
-			}
-			actx, cancel := attemptCtx(ctx, remaining)
-			idx := len(cancels)
-			cancels = append(cancels, cancel)
-			isHedge = append(isHedge, hedge)
-			if hedge {
-				m.hedgesFired.Add(1)
-			}
-			inflight++
-			*attempted++
-			go func() {
-				bag, err := m.submitOnce(actx, cand, expr)
-				m.noteOutcome(cand, err)
-				results <- armResult{idx: idx, bag: bag, err: err}
-			}()
-			return true
-		}
-		return false
-	}
-	// cancels grows only in this goroutine, so the deferred sweep sees
-	// every arm; cancelling the winner's context after its result is
-	// already in hand is a no-op.
+	// cancels grows only on this goroutine, so the sweep sees every arm;
+	// cancelling the winner after its result is in hand is a no-op.
 	defer func() {
 		for _, cancel := range cancels {
 			cancel()
 		}
 	}()
+	next, nextDeferred, inflight := 0, 0, 0
+	// launch starts the next arm the rules allow and reports whether it did.
+	// An arm nothing can race (no admittable arm left, none in flight) runs
+	// on this goroutine; the others run on their own until the race ends.
+	launch := func(hedge bool) bool {
+		for ctx.Err() == nil {
+			var cand string
+			var remaining int
+			switch {
+			case next < len(arms):
+				cand, remaining = arms[next], len(arms)-next+reserve
+				next++
+				if !m.breakers.Allow(cand) {
+					deferred = append(deferred, cand)
+					continue
+				}
+			case !hedge && inflight == 0 && nextDeferred < len(deferred):
+				cand, remaining = deferred[nextDeferred], len(deferred)-nextDeferred
+				nextDeferred++
+			default:
+				return false
+			}
+			if hedge {
+				m.hedgesFired.Add(1)
+			}
+			raced := inflight > 0 || next < len(arms)
+			inflight++
+			actx := ctx
+			if raced || remaining > 1 {
+				var cancel context.CancelFunc
+				actx, cancel = attemptCtx(ctx, remaining)
+				cancels = append(cancels, cancel)
+			}
+			if raced {
+				go func() {
+					results <- m.dialArm(actx, cand, expr, hedge)
+				}()
+			} else {
+				results <- m.dialArm(actx, cand, expr, hedge)
+			}
+			return true
+		}
+		return false
+	}
 
 	var hedgeC <-chan time.Time
 	rearmHedge := func() {
 		hedgeC = nil
-		if m.hedge && next < len(healthy) {
-			hedgeC = time.After(m.hedgeDelay(healthy))
+		if m.hedge && next < len(arms) {
+			hedgeC = time.After(m.hedgeDelay(arms))
 		}
 	}
-	hurry := physical.HurryChan(ctx)
-	if !m.hedge {
-		hurry = nil
+	var hurry <-chan struct{}
+	if m.hedge {
+		hurry = physical.HurryChan(ctx)
 	}
-
-	if !launch(false) {
-		return nil, nil, false
-	}
-	rearmHedge()
-
 	var lastUnavail error
-	for {
-		// inflight >= 1 here: after a result either a new arm launches or,
-		// when none is left, the race returns — so the select cannot block
-		// forever (every arm's context is bounded by the caller's).
+	if launch(false) {
+		rearmHedge()
+	}
+	// Every arm's context is bounded by the caller's, so each launched arm
+	// reports and the loop ends.
+	for inflight > 0 {
 		select {
 		case r := <-results:
 			inflight--
 			if r.err == nil {
-				if isHedge[r.idx] {
+				if r.hedge {
 					m.hedgesWon.Add(1)
 				}
-				return r.bag, nil, true
+				return r.bag, nil
 			}
 			if !isUnavailableErr(r.err) {
-				return nil, r.err, true
+				// The source answered with a genuine failure (or the caller
+				// ended the query): no other copy may mask it.
+				return nil, r.err
 			}
 			lastUnavail = r.err
 			if launch(false) {
 				rearmHedge()
-			} else if inflight == 0 {
-				return nil, lastUnavail, false
 			}
 		case <-hedgeC:
 			if m.allowHedge() && launch(true) {
@@ -429,6 +373,26 @@ func (m *Mediator) raceArms(ctx context.Context, expr algebra.Node, healthy []st
 			}
 		}
 	}
+	if err := ctx.Err(); err != nil || lastUnavail == nil {
+		// The caller's context ended before (or while) the copies were
+		// tried: classify its error, not the copies'.
+		if err == nil {
+			err = errors.New("no candidate attempted")
+		}
+		return nil, classifySourceError(ctx, shard, fmt.Errorf("mediator: submit to %s: %w", shard, err))
+	}
+	return nil, &physical.UnavailableError{
+		Repo: shard,
+		Err:  fmt.Errorf("no copy answered: %w", lastUnavail),
+	}
+}
+
+// dialArm runs one arm: a submit to one copy, its outcome fed to the
+// copy's breaker.
+func (m *Mediator) dialArm(ctx context.Context, repo string, expr algebra.Node, hedge bool) armResult {
+	bag, err := m.submitOnce(ctx, repo, expr)
+	m.noteOutcome(repo, err)
+	return armResult{bag: bag, err: err, hedge: hedge}
 }
 
 // hedgeDelay is the elapsed time past which a submit counts as in the
@@ -532,6 +496,9 @@ func intersectOrdered(a, b []string) []string {
 // declaration order, so the primary leads until the history says
 // otherwise.
 func (m *Mediator) orderCandidates(cands []string, expr algebra.Node) []string {
+	if len(cands) < 2 {
+		return cands
+	}
 	type ranked struct {
 		repo string
 		rank int

@@ -500,10 +500,10 @@ func E6Modeling() (*Table, error) {
 	return t, nil
 }
 
-// E8ConnectionScaling measures the wire layer's persistent-connection win:
-// point queries against one TCP source from increasing numbers of
-// concurrent application threads, a fresh dial per request (the pre-pool
-// wire layer) vs one shared client with pooled, multiplexed connections.
+// E8ConnectionScaling measures the wire layer under concurrency: point
+// queries against one TCP source from increasing numbers of concurrent
+// application threads sharing one client with pooled, multiplexed
+// connections.
 func E8ConnectionScaling(ctx context.Context, clients []int, queriesPerClient int) (*Table, error) {
 	if len(clients) == 0 {
 		clients = []int{1, 4, 16}
@@ -524,23 +524,14 @@ func E8ConnectionScaling(ctx context.Context, clients []int, queriesPerClient in
 	t := &Table{
 		ID:     "E8",
 		Title:  fmt.Sprintf("connection reuse under concurrency (%d point queries per client)", queriesPerClient),
-		Header: []string{"clients", "dial-per-request q/s", "pooled q/s", "speedup"},
+		Header: []string{"clients", "pooled q/s"},
 	}
 	for _, n := range clients {
-		dialQPS, err := e8Throughput(ctx, srv.Addr(), n, queriesPerClient, true)
+		poolQPS, err := e8Throughput(ctx, srv.Addr(), n, queriesPerClient)
 		if err != nil {
 			return nil, err
 		}
-		poolQPS, err := e8Throughput(ctx, srv.Addr(), n, queriesPerClient, false)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", n),
-			fmt.Sprintf("%.0f", dialQPS),
-			fmt.Sprintf("%.0f", poolQPS),
-			fmt.Sprintf("%.2fx", poolQPS/dialQPS),
-		})
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", n), fmt.Sprintf("%.0f", poolQPS)})
 	}
 	t.Notes = append(t.Notes,
 		"pooled: one shared wire.Client, bounded persistent connections, requests multiplexed and matched by ID")
@@ -550,12 +541,8 @@ func E8ConnectionScaling(ctx context.Context, clients []int, queriesPerClient in
 // e8Throughput runs clients*perClient point queries and returns the
 // aggregate queries/second. Each query gets its own deadline within
 // whatever budget ctx still carries.
-func e8Throughput(ctx context.Context, addr string, clients, perClient int, dialPerRequest bool) (float64, error) {
-	var opts []wire.ClientOption
-	if dialPerRequest {
-		opts = append(opts, wire.WithDialPerRequest())
-	}
-	c := wire.NewClient(addr, opts...)
+func e8Throughput(ctx context.Context, addr string, clients, perClient int) (float64, error) {
+	c := wire.NewClient(addr)
 	defer c.Close()
 	const q = `select name from person0 where id = 7`
 

@@ -84,7 +84,8 @@ func (s *server) trackedResult() chan int {
 }
 
 // trackedResultOuter: the result channel is made two function layers up
-// (the raceArms shape: a launch closure inside the racing function).
+// (the shard-read race's shape: a launch closure inside the racing
+// function).
 func (s *server) trackedResultOuter() chan int {
 	res := make(chan int, 8)
 	launch := func() {

@@ -84,6 +84,8 @@ func TestWherePredicates(t *testing.T) {
 		{`SELECT * FROM person0 WHERE id IN (1, 3)`, 2},
 		{`SELECT * FROM person0 WHERE id IN (9)`, 0},
 		{`SELECT * FROM person0 WHERE TRUE = TRUE`, 2},
+		{`SELECT * FROM person0 WHERE salary > -3`, 2},
+		{`SELECT * FROM person0 WHERE salary < -3`, 0},
 	}
 	for _, tt := range tests {
 		if got := query(t, s, tt.q).Len(); got != tt.rows {
@@ -303,5 +305,37 @@ func TestDocCollections(t *testing.T) {
 	d := paperDocs(t)
 	if got := d.Collections(); len(got) != 1 || got[0] != "sites" {
 		t.Errorf("Collections = %v", got)
+	}
+}
+
+func TestSQLLex(t *testing.T) {
+	tests := []struct {
+		src  string
+		want []string // kind:text per token, EOF omitted
+	}{
+		{`salary > 3`, []string{"ident:salary", "punct:>", "number:3"}},
+		{`salary > -3`, []string{"ident:salary", "punct:>", "number:-3"}},
+		{`salary >= -2.5`, []string{"ident:salary", "punct:>=", "number:-2.5"}},
+		{`id IN (-1, 2)`, []string{"ident:id", "ident:IN", "punct:(", "number:-1", "punct:,", "number:2", "punct:)"}},
+		{"salary -- note -3\n> 1", []string{"ident:salary", "punct:>", "number:1"}},
+		{`salary > --3`, []string{"ident:salary", "punct:>"}},
+	}
+	kinds := map[sqlKind]string{sqlIdent: "ident", sqlNumber: "number", sqlString: "string", sqlPunct: "punct"}
+	for _, tt := range tests {
+		toks, err := sqlLex(tt.src)
+		if err != nil {
+			t.Errorf("%q: %v", tt.src, err)
+			continue
+		}
+		var got []string
+		for _, tok := range toks[:len(toks)-1] {
+			got = append(got, kinds[tok.kind]+":"+tok.text)
+		}
+		if strings.Join(got, " ") != strings.Join(tt.want, " ") {
+			t.Errorf("%q: tokens = %v, want %v", tt.src, got, tt.want)
+		}
+	}
+	if _, err := sqlLex(`salary > - 3`); err == nil {
+		t.Error(`"- 3" lexed: a lone '-' is not a sign`)
 	}
 }

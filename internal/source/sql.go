@@ -88,8 +88,11 @@ func sqlLex(src string) ([]sqlTok, error) {
 				i++
 			}
 			toks = append(toks, sqlTok{kind: sqlIdent, text: src[start:i], off: start})
-		case c >= '0' && c <= '9':
+		case c >= '0' && c <= '9' || c == '-' && i+1 < len(src) && src[i+1] >= '0' && src[i+1] <= '9':
+			// A '-' directly before a digit signs the literal ("--" is a
+			// comment, matched above).
 			start := i
+			i++
 			for i < len(src) && (src[i] >= '0' && src[i] <= '9' || src[i] == '.') {
 				i++
 			}

@@ -339,46 +339,6 @@ func TestAbandonSendsCancelFrame(t *testing.T) {
 	}
 }
 
-// TestWithoutCancelPropagation pins the baseline the benchmark measures
-// against: no deadline stamping, no cancel frames — abandoned work keeps
-// running server-side until its own devices (here: server close) stop it.
-func TestWithoutCancelPropagation(t *testing.T) {
-	h := newBlockingHandler()
-	s, err := NewServer("127.0.0.1:0", h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	c := NewClient(s.Addr(), WithoutCancelPropagation())
-	defer c.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	if _, err := c.Query(ctx, LangSQL, "SELECT 1"); err == nil {
-		t.Fatal("blocking handler answered?")
-	}
-	<-h.started
-	ctxs := h.contexts()
-	if _, ok := ctxs[0].Deadline(); ok {
-		t.Error("handler context has a deadline despite WithoutCancelPropagation")
-	}
-	// Give a would-be cancel frame ample time to land, then verify none did:
-	// the abandoned request is still running server-side.
-	time.Sleep(50 * time.Millisecond)
-	if n := c.Stats().CancelsSent.Load(); n != 0 {
-		t.Errorf("CancelsSent = %d, want 0", n)
-	}
-	if n := s.Stats().Cancelled.Load(); n != 0 {
-		t.Errorf("server Cancelled = %d, want 0", n)
-	}
-	if s.Inflight() != 1 {
-		t.Errorf("inflight = %d, want 1 (abandoned work keeps running)", s.Inflight())
-	}
-	if n := c.Stats().Abandoned.Load(); n != 1 {
-		t.Errorf("Abandoned = %d, want 1 (abandonment is still counted)", n)
-	}
-}
-
 // TestCancelledRequestNotCounted makes sure a cancel for an unknown or
 // already-completed ID is the benign race the protocol promises, not an
 // error or a counter bump.

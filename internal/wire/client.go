@@ -44,9 +44,9 @@ var ErrClientClosed = errors.New("wire: client closed")
 // bounded pool of persistent connections and multiplexes concurrent
 // requests over them: responses are matched to callers by request ID,
 // broken connections are evicted and redialed transparently, and idle
-// connections are reaped. WithDialPerRequest restores the one-dial-per-
-// request behaviour (useful as a baseline and for callers that want the
-// simplest possible fault domain).
+// connections are reaped. Every request carries the caller's remaining
+// deadline, and a request the caller abandons is cancelled at the server
+// with a cancel frame.
 //
 // A Client is safe for concurrent use and is meant to be shared: the
 // mediator keeps one per repository address.
@@ -56,11 +56,6 @@ type Client struct {
 	poolSize       int
 	idleTimeout    time.Duration
 	healthInterval time.Duration
-	dialPerRequest bool
-	// noCancelPropagation disables deadline stamping and cancel frames
-	// (WithoutCancelPropagation) — the pre-cancellation protocol, kept as a
-	// benchmark baseline.
-	noCancelPropagation bool
 
 	stats ClientStats
 
@@ -117,21 +112,6 @@ func WithIdleTimeout(d time.Duration) ClientOption {
 	}
 }
 
-// WithDialPerRequest makes every call dial (and close) its own connection
-// instead of using the pool.
-func WithDialPerRequest() ClientOption {
-	return func(c *Client) { c.dialPerRequest = true }
-}
-
-// WithoutCancelPropagation stops the client from stamping the caller's
-// remaining deadline onto requests and from sending cancel frames when
-// callers abandon in-flight calls — the pre-cancellation protocol, where
-// an abandoned request runs to completion on the server. It exists as the
-// baseline the cancellation benchmark measures against.
-func WithoutCancelPropagation() ClientOption {
-	return func(c *Client) { c.noCancelPropagation = true }
-}
-
 // WithHealthCheckInterval sets how long a connection may idle before the
 // pool pings it (and how long that ping may take before the connection is
 // declared dead and evicted). d <= 0 disables health checks — for peers
@@ -174,9 +154,6 @@ func (c *Client) Stats() *ClientStats { return &c.stats }
 // rejects it as expired-on-arrival, which is also what the caller's own
 // ctx.Err() check is about to conclude.
 func (c *Client) stampDeadline(ctx context.Context, req *Request) {
-	if c.noCancelPropagation {
-		return
-	}
 	dl, ok := ctx.Deadline()
 	if !ok {
 		return
@@ -234,9 +211,6 @@ func (c *Client) PoolStats() (conns, inflight int) {
 // transparently (requests are queries — reads — so a retry is safe).
 func (c *Client) Do(ctx context.Context, req Request) (*Response, error) {
 	req.ID = c.nextID.Add(1)
-	if c.dialPerRequest {
-		return c.doDirect(ctx, req)
-	}
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -495,66 +469,6 @@ func (c *Client) remove(cc *clientConn) {
 	c.mu.Unlock()
 }
 
-// doDirect is the dial-per-request path: one connection per call, closed
-// on return.
-func (c *Client) doDirect(ctx context.Context, req Request) (*Response, error) {
-	c.stampDeadline(ctx, &req)
-	var d net.Dialer
-	conn, err := d.DialContext(ctx, "tcp", c.addr)
-	if err != nil {
-		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
-	}
-	defer conn.Close()
-	if deadline, ok := ctx.Deadline(); ok {
-		if err := conn.SetDeadline(deadline); err != nil {
-			return nil, fmt.Errorf("wire: set deadline: %w", err)
-		}
-	}
-	// Cancel the exchange if the context dies while we block on the read.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("wire: marshal: %w", err)
-	}
-	buf = append(buf, '\n')
-	if _, err := conn.Write(buf); err != nil {
-		return nil, wrapCtx(ctx, fmt.Errorf("wire: write %s: %w", c.addr, err))
-	}
-	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 0, 64*1024), maxFrameBytes)
-	if !scanner.Scan() {
-		err := scanner.Err()
-		if err == nil {
-			err = fmt.Errorf("connection closed")
-		}
-		return nil, wrapCtx(ctx, fmt.Errorf("wire: read %s: %w", c.addr, err))
-	}
-	var resp Response
-	if err := json.Unmarshal(scanner.Bytes(), &resp); err != nil {
-		return nil, fmt.Errorf("wire: decode response: %w", err)
-	}
-	if resp.ID != req.ID {
-		// A stale or misordered frame must not be accepted as the answer.
-		return nil, fmt.Errorf("wire: %s: response id %d does not match request id %d", c.addr, resp.ID, req.ID)
-	}
-	if resp.Code == CodeOverloaded {
-		return nil, &OverloadedError{Addr: c.addr, Msg: resp.Err}
-	}
-	if resp.Code == CodeExpired {
-		return nil, fmt.Errorf("wire: %s: %w (rejected by server: %s)", c.addr, context.DeadlineExceeded, resp.Err)
-	}
-	return &resp, nil
-}
-
 // brokenConnError marks transport failures on a pooled connection that make
 // the request eligible for a transparent retry on a fresh connection.
 type brokenConnError struct {
@@ -618,9 +532,7 @@ func (cc *clientConn) shutdown(err error) {
 	cc.mu.Unlock()
 	if len(orphans) > 0 {
 		cc.c.stats.Abandoned.Add(int64(len(orphans)))
-		if !cc.c.noCancelPropagation {
-			cc.sendCancels(orphans)
-		}
+		cc.sendCancels(orphans)
 	}
 	cc.nc.Close()
 	close(cc.done)
@@ -710,15 +622,11 @@ func (cc *clientConn) roundTrip(ctx context.Context, req *Request, refreshIdle b
 	}
 }
 
-// abandon notes that the caller walked away from an in-flight request and,
-// unless cancel propagation is off, tells the server — asynchronously, so
-// the abandoning caller's error return is not held up behind the
-// connection's write lock.
+// abandon notes that the caller walked away from an in-flight request and
+// tells the server — asynchronously, so the abandoning caller's error
+// return is not held up behind the connection's write lock.
 func (cc *clientConn) abandon(id int64) {
 	cc.c.stats.Abandoned.Add(1)
-	if cc.c.noCancelPropagation {
-		return
-	}
 	//lint:allow gotrack fire-and-forget by design: a best-effort cancel frame bounded by a short write deadline; the server's connection-death path covers the loss
 	go cc.sendCancels([]int64{id})
 }
