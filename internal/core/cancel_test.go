@@ -6,12 +6,25 @@ import (
 	"time"
 )
 
+// cancelsSent sums the cancel frames written across the mediator's pooled
+// wire clients.
+func cancelsSent(m *Mediator) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var n int64
+	for _, c := range m.clients {
+		n += c.Stats().CancelsSent.Load()
+	}
+	return n
+}
+
 // TestHedgeLoserReclaimsServerWork is the end-to-end cancellation contract
 // for hedging: when a backup submit wins, the loser is not merely ignored —
 // its wire client sends a cancel frame, the slow server's handler context is
 // cancelled, and its in-flight gauge drains instead of accumulating one
 // zombie per race. The loser stays invisible to the control loops (breaker
-// closed, no cost-history observation), and the trace reports the cancels.
+// closed, no cost-history observation), and the wire clients count the
+// cancels they sent.
 func TestHedgeLoserReclaimsServerWork(t *testing.T) {
 	m, servers := replicatedMediator(t,
 		WithHedging(5*time.Millisecond), WithBreaker(1, time.Minute))
@@ -20,7 +33,7 @@ func TestHedgeLoserReclaimsServerWork(t *testing.T) {
 	servers["r0"].SetLatency(150 * time.Millisecond)
 	want := wantAll()
 
-	c0 := m.wireCancelsSent()
+	c0 := cancelsSent(m)
 	for i := 0; i < 8; i++ {
 		v, _, err := m.QueryTraced(`select x from x in people`)
 		if err != nil {
@@ -43,7 +56,7 @@ func TestHedgeLoserReclaimsServerWork(t *testing.T) {
 	// already returned (they are deliberately off the error path), so poll
 	// the mediator-wide counter rather than summing per-query trace windows —
 	// a frame can land between two windows and be seen by neither.
-	if !waitCondition(time.Second, func() bool { return m.wireCancelsSent() > c0 }) {
+	if !waitCondition(time.Second, func() bool { return cancelsSent(m) > c0 }) {
 		t.Error("no cancel frames sent despite abandoned hedge losers")
 	}
 	if !waitCondition(time.Second, func() bool { return servers["r0"].Stats().Cancelled.Load() > 0 }) {

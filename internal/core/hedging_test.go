@@ -2,10 +2,16 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"maps"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"disco/internal/source"
+	"disco/internal/types"
+	"disco/internal/wire"
 )
 
 // waitCondition polls cond until it holds or the deadline passes.
@@ -103,6 +109,66 @@ func TestHedgeTraceCounters(t *testing.T) {
 	}
 	if tr.HedgesWon == 0 {
 		t.Errorf("Trace.HedgesWon = 0, want at least one")
+	}
+}
+
+// TestTraceCountersPerQuery: a trace counts the hedges and shard reads of
+// its own query only. Query B waits on a slow source of its own while
+// query A hedges a straggling shard; neither trace may see the other's
+// events.
+func TestTraceCountersPerQuery(t *testing.T) {
+	m, servers := replicatedMediator(t, WithHedging(5*time.Millisecond), WithBreaker(1, time.Minute))
+	// r1b's breaker is held open, so shard 1 has no copy a hedge may
+	// launch: query A's one hedge is shard 0's, to r0b.
+	m.breakers.Failure("r1b")
+	store := source.NewRelStore()
+	if err := store.CreateTable("staff", "id", "name", "salary"); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Insert("staff", types.Int(9), types.Str("Bo"), types.Int(10)); err != nil {
+		t.Fatal(err)
+	}
+	slow, err := wire.NewServer("127.0.0.1:0", EngineHandler{Engine: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { slow.Close() })
+	if err := m.ExecODL(fmt.Sprintf(`rs := Repository(address=%q);
+		extent staff of Person wrapper w0 at rs;`, slow.Addr())); err != nil {
+		t.Fatal(err)
+	}
+	slow.SetLatency(150 * time.Millisecond)
+	servers["r0"].SetLatency(100 * time.Millisecond)
+
+	var trB *Trace
+	var errB error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, trB, errB = m.QueryTraced(`select x from x in staff`)
+	}()
+	if !waitCondition(time.Second, func() bool { return slow.Inflight() > 0 }) {
+		t.Fatal("query B never reached its source")
+	}
+	_, trA, err := m.QueryTraced(`select x from x in people`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if errB != nil {
+		t.Fatal(errB)
+	}
+	if trA.HedgesFired != 1 || trA.HedgesWon != 1 {
+		t.Errorf("query A hedges fired=%d won=%d, want 1 and 1", trA.HedgesFired, trA.HedgesWon)
+	}
+	if want := map[string]int64{"people@r0": 1, "people@r1": 1}; !maps.Equal(trA.ShardReads, want) {
+		t.Errorf("query A shard reads = %v, want %v", trA.ShardReads, want)
+	}
+	if trB.HedgesFired != 0 || trB.HedgesWon != 0 {
+		t.Errorf("query B hedges fired=%d won=%d, want none: it saw query A's hedge", trB.HedgesFired, trB.HedgesWon)
+	}
+	if want := map[string]int64{"staff": 1}; !maps.Equal(trB.ShardReads, want) {
+		t.Errorf("query B shard reads = %v, want %v", trB.ShardReads, want)
 	}
 }
 

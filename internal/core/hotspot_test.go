@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"strings"
 	"testing"
 
@@ -109,6 +110,14 @@ func TestTraceShardReads(t *testing.T) {
 	}
 	if hot := m.HotShards(); len(hot) != 0 {
 		t.Errorf("balanced traffic reports hot shards: %v", hot)
+	}
+	// A nested subquery's reads count against the query that resolved it.
+	_, tr, err = m.QueryTraced(`select struct(n: x.name, c: count(select y from y in people)) from x in people where x.id = 15`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int64{"people@r0": 1, "people@r1": 2, "people@r2": 1}; !maps.Equal(tr.ShardReads, want) {
+		t.Errorf("nested subquery trace reads %v, want %v", tr.ShardReads, want)
 	}
 }
 
