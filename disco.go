@@ -120,7 +120,7 @@
 // mediator also hurries scatter-gather stragglers: when most partitions of
 // a fan-out have answered, the laggards' in-flight submits are told to
 // hedge immediately rather than wait out the trigger. Trace.HedgesFired
-// and Trace.HedgesWon report the hedging activity a query saw.
+// and Trace.HedgesWon count the hedges the query itself fired and won.
 //
 // Partial answers compose with partitioning: if a shard fails to answer
 // before the deadline (every replica, when it has them), QueryPartial
@@ -161,12 +161,12 @@
 // MergeShards wrap the begin-advance loop end to end.
 //
 // Where to rebalance comes from the traffic history: every shard read
-// bumps a per-shard counter (ShardTraffic; Trace.ShardReads has the
-// per-query slice), HotShards flags shards drawing a disproportionate
-// share, and Explain surfaces the skew as "hot shards: people@r1 (42%)"
-// lines with a concrete rebalance recommendation the migration calls
-// above can act on. See examples/sharding for a live move under
-// concurrent readers.
+// bumps a per-shard counter (ShardTraffic; Trace.ShardReads counts one
+// query's own reads, nested subqueries included), HotShards flags shards
+// drawing a disproportionate share, and Explain surfaces the skew as "hot
+// shards: people@r1 (42%)" lines with a concrete rebalance recommendation
+// the migration calls above can act on. See examples/sharding for a live
+// move under concurrent readers.
 //
 // Underneath every remote scenario sits a persistent wire layer. The
 // mediator keeps one bounded pool of long-lived TCP connections per
@@ -218,8 +218,8 @@
 // ten submits), so under a healthy fleet a blip is retried invisibly,
 // while under collapse — when most submits fail — the budget exhausts and
 // the mediator degrades instead of doubling the load on whatever is left.
-// Trace.Retried and Trace.RetryBudgetExhausted expose the budget's
-// activity; Mediator.OverloadStats totals it.
+// Trace.Retried and Trace.RetryBudgetExhausted count the budget's activity
+// on one query's submits; Mediator.OverloadStats totals it.
 //
 // Abandoned work is reclaimed, not merely ignored. A caller's deadline
 // rides every wire request as its remaining millisecond budget, so a
@@ -237,8 +237,10 @@
 // written is backstopped by the server cancelling everything in flight
 // when the connection dies. Either way a cancelled call is a caller-side
 // verdict: it never trips a breaker, never records a cost observation,
-// and never becomes a partial answer. Trace.CancelsSent and the wire
-// Stats (Cancelled, ExpiredOnArrival) expose the traffic.
+// and never becomes a partial answer. Cancel frames are written after the
+// abandoning call has returned, so no query's trace can claim them: the
+// wire client's ClientStats.CancelsSent counts them, and the server's
+// Stats (Cancelled, ExpiredOnArrival) count the other side.
 //
 // This degradation ladder is verified by seeded fault injection: the
 // internal chaos package proxies the wire transport and composes latency
@@ -447,10 +449,6 @@ type Server = wire.Server
 
 // ServerOption configures a Server.
 type ServerOption = wire.ServerOption
-
-// WithMaxInflight caps concurrent request execution per server connection;
-// requests beyond the cap are shed with an explicit overload frame.
-var WithMaxInflight = wire.WithMaxInflight
 
 // WithMaxServerInflight caps concurrent request execution across all of a
 // server's connections (0 = no server-wide cap); requests beyond the cap

@@ -59,6 +59,50 @@ func TestContainsPushesToDocSource(t *testing.T) {
 	}
 }
 
+// TestDocPredicateQuotes: a string value holding a single quote reaches
+// the document source intact, for both pushed predicate shapes.
+func TestDocPredicateQuotes(t *testing.T) {
+	m := New(WithTimeout(300 * time.Millisecond))
+	docs := source.NewDocStore()
+	for i, name := range []string{"O'Brien", "'", "", "OBrien"} {
+		docs.AddDocument("people", types.NewStruct(
+			types.Field{Name: "id", Value: types.Int(int64(i + 1))},
+			types.Field{Name: "name", Value: types.Str(name)},
+		))
+	}
+	m.RegisterEngine("dbox", docs)
+	if err := m.ExecODL(`
+		rd := Repository(address="mem:dbox");
+		wdoc := Wrapper("doc");
+		interface Person (extent person) {
+		    attribute Short id;
+		    attribute String name;
+		}
+		extent people of Person wrapper wdoc repository rd;
+	`); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		q    string
+		want *types.Bag
+	}{
+		{`select x.id from x in people where x.name = "O'Brien"`, types.NewBag(types.Int(1))},
+		{`select x.id from x in people where x.name = "'"`, types.NewBag(types.Int(2))},
+		{`select x.id from x in people where contains(x.name, "O'B")`, types.NewBag(types.Int(1))},
+		{`select x.id from x in people where contains(x.name, "'")`, types.NewBag(types.Int(1), types.Int(2))},
+	}
+	for _, tc := range cases {
+		got, err := m.Query(tc.q)
+		if err != nil {
+			t.Errorf("%s: %v", tc.q, err)
+			continue
+		}
+		if !got.Equal(tc.want) {
+			t.Errorf("%s = %s, want %s", tc.q, got, tc.want)
+		}
+	}
+}
+
 // TestContainsStaysLocalForSQLSources: relational wrappers do not advertise
 // CONTAINS, so the predicate evaluates at the mediator with identical
 // results.

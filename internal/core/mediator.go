@@ -136,11 +136,6 @@ func WithTimeout(d time.Duration) Option {
 	}
 }
 
-// WithHistory shares a cost history (useful for tests and for warm starts).
-func WithHistory(h *costmodel.History) Option {
-	return func(m *Mediator) { m.history = h }
-}
-
 // WithMaxFanout bounds how many partitions of a sharded extent the mediator
 // queries concurrently (0 = all at once).
 func WithMaxFanout(n int) Option {

@@ -112,20 +112,6 @@ func (m *Mediator) clientFor(addr string) *wire.Client {
 	return c
 }
 
-// wireCancelsSent sums the cancel frames written across the mediator's
-// pooled wire clients — the "abandoned work reported to sources" gauge the
-// query trace windows over. Close drops the clients (and their counters),
-// so a window straddling Close undercounts rather than erring.
-func (m *Mediator) wireCancelsSent() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, c := range m.clients {
-		n += c.Stats().CancelsSent.Load()
-	}
-	return n
-}
-
 // Close releases the mediator's pooled source connections and drops the
 // wrapper instances holding them. Background half-open probes are refused
 // from here on, and the in-flight ones are waited out before the clients

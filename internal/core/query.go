@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"disco/internal/algebra"
 	"disco/internal/oql"
 	"disco/internal/partial"
+	"disco/internal/physical"
 	"disco/internal/types"
 )
 
@@ -33,29 +35,20 @@ type Trace struct {
 	// Shed is 1 when the admission gate refused this query (the query then
 	// returned an *OverloadError and dialed no source).
 	Shed int64
-	// HedgesFired/HedgesWon count hedged backup submits launched, and won,
-	// during this query's execution window. The counters are mediator-wide,
-	// so concurrent queries see each other's hedges.
+	// HedgesFired/HedgesWon count the hedged backup submits this query
+	// launched, and those that answered first.
 	HedgesFired int64
 	HedgesWon   int64
-	// Retried counts transient source errors (mid-answer drops, refused
-	// dials with deadline to spare) that were re-attempted under the retry
-	// budget during this query's execution window; RetryBudgetExhausted
-	// counts transients that wanted a retry the budget refused. Like the
-	// hedge counters they are mediator-wide windows.
+	// Retried counts this query's transient source errors (mid-answer
+	// drops, refused dials with deadline to spare) that were re-attempted
+	// under the retry budget; RetryBudgetExhausted counts its transients
+	// that wanted a retry the budget refused.
 	Retried              int64
 	RetryBudgetExhausted int64
-	// CancelsSent counts best-effort cancel frames the mediator's wire
-	// clients wrote during this query's execution window — abandoned
-	// source calls (hedge losers, lapsed deadlines, torn-down pools) being
-	// reported to their servers so the work stops. Like the hedge and
-	// retry counters it is a mediator-wide window, so concurrent queries
-	// see each other's cancels.
-	CancelsSent int64
-	// ShardReads counts the logical shard reads this query's execution
-	// window added, keyed extent@repo — the per-query view of the traffic
-	// counters hotspot detection aggregates. Mediator-wide like the other
-	// window counters, so concurrent queries see each other's reads.
+	// ShardReads counts this query's logical shard reads, nested subqueries
+	// included, keyed extent@repo (the plain extent name when the extent is
+	// not partitioned): this query's share of the traffic counters hotspot
+	// detection aggregates.
 	ShardReads map[string]int64
 
 	// admittedAt marks when the admission gate granted the slot; the
@@ -89,9 +82,6 @@ func (tr *Trace) String() string {
 	}
 	if tr.Retried > 0 || tr.RetryBudgetExhausted > 0 {
 		fmt.Fprintf(&b, "transient retries=%d budget-refused=%d\n", tr.Retried, tr.RetryBudgetExhausted)
-	}
-	if tr.CancelsSent > 0 {
-		fmt.Fprintf(&b, "source cancels sent=%d\n", tr.CancelsSent)
 	}
 	if len(tr.ShardReads) > 0 {
 		shards := make([]string, 0, len(tr.ShardReads))
@@ -186,46 +176,12 @@ func (m *Mediator) QueryTraced(src string) (types.Value, *Trace, error) {
 	return m.queryTraced(context.Background(), src)
 }
 
-func (m *Mediator) queryTraced(ctx context.Context, src string) (types.Value, *Trace, error) {
-	defer m.enterReadEpoch()()
-	entry, tr, err := m.prepare(src)
-	if err != nil {
-		return nil, tr, err
-	}
-	ctx, cancel := withEvalDeadline(ctx, m.timeout)
-	defer cancel()
-	if err := m.admitQuery(ctx, tr); err != nil {
-		return nil, tr, err
-	}
-	defer m.admitDone(tr)
-	p, err := m.buildPhysical(entry.plan, entry.progs)
-	if err != nil {
-		return nil, tr, err
-	}
-	f0, w0 := m.hedgesFired.Load(), m.hedgesWon.Load()
-	r0, x0 := m.retries.Load(), m.retryExhausted.Load()
-	c0 := m.wireCancelsSent()
-	s0 := m.ShardTraffic()
-	t0 := time.Now()
-	v, err := p.Run(ctx)
-	tr.Execute = time.Since(t0)
-	tr.HedgesFired = m.hedgesFired.Load() - f0
-	tr.HedgesWon = m.hedgesWon.Load() - w0
-	tr.Retried = m.retries.Load() - r0
-	tr.RetryBudgetExhausted = m.retryExhausted.Load() - x0
-	tr.ShardReads = map[string]int64{}
-	for shard, n := range m.ShardTraffic() {
-		if d := n - s0[shard]; d > 0 {
-			tr.ShardReads[shard] = d
-		}
-	}
-	if tr.CancelsSent = m.wireCancelsSent() - c0; tr.CancelsSent < 0 {
-		tr.CancelsSent = 0 // client pool replaced mid-window (Close)
-	}
-	if err != nil {
-		return nil, tr, err
-	}
-	return v, tr, nil
+func (m *Mediator) queryTraced(ctx context.Context, src string) (v types.Value, tr *Trace, err error) {
+	tr, err = m.run(ctx, src, func(ctx context.Context, p *physical.Plan, _ algebra.Node) (err error) {
+		v, err = p.Run(ctx)
+		return err
+	})
+	return v, tr, err
 }
 
 // QueryPartial evaluates a query under partial-evaluation semantics: if
@@ -240,32 +196,82 @@ func (m *Mediator) QueryPartial(src string) (*partial.Answer, error) {
 // Admission applies before any source is dialed: a shed query returns an
 // *OverloadError, not a partial answer — shed and "source down" are
 // different verdicts and callers can tell them apart.
-func (m *Mediator) QueryPartialContext(ctx context.Context, src string) (*partial.Answer, error) {
+func (m *Mediator) QueryPartialContext(ctx context.Context, src string) (ans *partial.Answer, err error) {
+	_, err = m.run(ctx, src, func(ectx context.Context, p *physical.Plan, plan algebra.Node) (err error) {
+		if ans, err = partial.Evaluate(ectx, p); err == nil {
+			// The version snapshot runs under the caller's ctx: it comes after
+			// the evaluation budget is (by definition of a partial answer) spent.
+			m.snapshotPartial(ctx, plan, ans)
+		}
+		return err
+	})
+	return ans, err
+}
+
+// run is the one query runner. It holds a read epoch, prepares the plan,
+// bounds evaluation by the §4 deadline, passes the admission gate and
+// builds the physical plan, then hands eval the plan and an evaluation
+// context carrying the query's recorder. The recorder stops writing the
+// trace when eval returns.
+func (m *Mediator) run(ctx context.Context, src string, eval func(ctx context.Context, p *physical.Plan, plan algebra.Node) error) (*Trace, error) {
 	defer m.enterReadEpoch()()
 	entry, tr, err := m.prepare(src)
 	if err != nil {
-		return nil, err
+		return tr, err
 	}
-	plan := entry.plan
-	// The evaluation context gets the §4 deadline; the caller's ctx stays
-	// unwrapped for the post-evaluation version snapshot, which runs after
-	// the evaluation budget is (by definition of a partial answer) spent.
-	ectx, cancel := withEvalDeadline(ctx, m.timeout)
+	ctx, cancel := withEvalDeadline(ctx, m.timeout)
 	defer cancel()
-	if err := m.admitQuery(ectx, tr); err != nil {
-		return nil, err
+	if err := m.admitQuery(ctx, tr); err != nil {
+		return tr, err
 	}
 	defer m.admitDone(tr)
-	p, err := m.buildPhysical(plan, entry.progs)
+	tr.ShardReads = map[string]int64{}
+	rec := &queryRecorder{tr: tr}
+	ctx = context.WithValue(ctx, queryRecorderKey{}, rec)
+	p, err := m.buildPhysical(ctx, entry.plan, entry.progs)
 	if err != nil {
-		return nil, err
+		return tr, err
 	}
-	ans, err := partial.Evaluate(ectx, p)
-	if err != nil {
-		return nil, err
+	t0 := time.Now()
+	err = eval(ctx, p, entry.plan)
+	rec.mu.Lock()
+	rec.tr = nil
+	rec.mu.Unlock()
+	tr.Execute = time.Since(t0)
+	return tr, err
+}
+
+// queryRecorder counts the hedges, retries and shard reads one query's
+// evaluation causes into its Trace, at the sites that bump the
+// mediator-wide counters. It travels in the evaluation context, so
+// concurrent queries never see each other's events. Events after eval
+// returns (a cancelled hedge loser unwinding) are dropped: the trace is
+// the caller's by then. Submits no query caused (migration copies) carry
+// no recorder and record nothing.
+type queryRecorder struct {
+	mu sync.Mutex
+	tr *Trace // nil once eval has returned
+}
+
+type queryRecorderKey struct{}
+
+// queryRecorderFrom returns the recorder ctx carries, or nil.
+func queryRecorderFrom(ctx context.Context) *queryRecorder {
+	rec, _ := ctx.Value(queryRecorderKey{}).(*queryRecorder)
+	return rec
+}
+
+// record applies one event to the query's trace. A nil recorder, or one
+// whose eval has returned, records nothing.
+func (r *queryRecorder) record(event func(tr *Trace)) {
+	if r == nil {
+		return
 	}
-	m.snapshotPartial(ctx, plan, ans)
-	return ans, nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.tr != nil {
+		event(r.tr)
+	}
 }
 
 // admitQuery passes the query through the admission gate (a no-op without

@@ -189,8 +189,10 @@ func rangeGuard(me *catalog.MetaExtent, repo string) oql.Expr {
 
 // valueResolver implements oql.Resolver for the reference evaluation of
 // correlated subqueries: names materialize by planning and running them.
+// ctx is the evaluation context of the query the subqueries belong to.
 type valueResolver struct {
-	m *Mediator
+	m   *Mediator
+	ctx context.Context
 }
 
 // Resolve implements oql.Resolver.
@@ -207,12 +209,14 @@ func (r valueResolver) Resolve(name string, star bool) (types.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow ctxflow the oql.Resolver interface carries no context; this reference-evaluation path is bounded by the mediator's own §4 evaluation deadline
-	ctx, cancel := withEvalDeadline(context.Background(), r.m.timeout)
+	// The oql.Resolver interface carries no context: this path drops the
+	// query's cancellation for the mediator's own §4 evaluation deadline,
+	// but keeps its values, so its reads record against the query.
+	ctx, cancel := withEvalDeadline(context.WithoutCancel(r.ctx), r.m.timeout)
 	defer cancel()
 	// Ad-hoc resolver plans are built per evaluation (their expression
 	// nodes are fresh each time), so there is no program cache to share.
-	p, err := r.m.buildPhysical(plan, nil)
+	p, err := r.m.buildPhysical(ctx, plan, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -23,13 +23,14 @@ import (
 	"disco/internal/wrapper"
 )
 
-// buildPhysical wires a logical plan to the mediator's runtime. progs is
-// the plan's compiled-program cache (shared across executions of a
-// prepared plan); nil compiles per execution.
-func (m *Mediator) buildPhysical(plan algebra.Node, progs *oql.ProgramCache) (*physical.Plan, error) {
+// buildPhysical wires a logical plan to the mediator's runtime. ctx is the
+// evaluation context the plan will run under; nested subqueries resolve
+// with its values. progs is the plan's compiled-program cache (shared
+// across executions of a prepared plan); nil compiles per execution.
+func (m *Mediator) buildPhysical(ctx context.Context, plan algebra.Node, progs *oql.ProgramCache) (*physical.Plan, error) {
 	rt := &physical.Runtime{
 		Submit:    m.submit,
-		Resolver:  valueResolver{m: m},
+		Resolver:  valueResolver{m: m, ctx: ctx},
 		MaxFanout: m.maxFanout,
 		Programs:  progs,
 	}
@@ -45,7 +46,7 @@ func (m *Mediator) buildPhysical(plan algebra.Node, progs *oql.ProgramCache) (*p
 // fastest-first.
 func (m *Mediator) submit(ctx context.Context, repo string, expr algebra.Node) (*types.Bag, error) {
 	refs := exprRefs(expr)
-	m.countShardReads(refs)
+	m.countShardReads(ctx, refs)
 	bag, err := m.submitShard(ctx, repo, expr)
 	if err != nil && isUnavailableErr(err) && allStandby(refs) {
 		// The unreachable copy is the *new* placement of a migrating shard
@@ -59,17 +60,21 @@ func (m *Mediator) submit(ctx context.Context, repo string, expr algebra.Node) (
 }
 
 // countShardReads bumps the per-shard traffic counters, one per logical
-// shard read. Standby (dual-read new placement) branches are skipped: they
-// duplicate a counted read of the same shard.
-func (m *Mediator) countShardReads(refs []algebra.ExtentRef) {
+// shard read, and records each read against the query ctx belongs to.
+// Standby (dual-read new placement) branches are skipped: they duplicate a
+// counted read of the same shard.
+func (m *Mediator) countShardReads(ctx context.Context, refs []algebra.ExtentRef) {
+	rec := queryRecorderFrom(ctx)
 	m.shardMu.Lock()
+	defer m.shardMu.Unlock()
 	for _, r := range refs {
 		if r.Standby {
 			continue
 		}
-		m.shardReads[r.QualifiedName()]++
+		shard := r.QualifiedName()
+		m.shardReads[shard]++
+		rec.record(func(tr *Trace) { tr.ShardReads[shard]++ })
 	}
-	m.shardMu.Unlock()
 }
 
 // allStandby reports whether every extent the expression reads is a
@@ -269,6 +274,7 @@ func (m *Mediator) raceCopies(ctx context.Context, shard string, expr algebra.No
 	if len(deferred) > 0 {
 		reserve = 1
 	}
+	rec := queryRecorderFrom(ctx)
 	// One slot per copy, so a cancelled loser's send never blocks.
 	results := make(chan armResult, len(cands))
 	var cancels []context.CancelFunc
@@ -303,6 +309,7 @@ func (m *Mediator) raceCopies(ctx context.Context, shard string, expr algebra.No
 			}
 			if hedge {
 				m.hedgesFired.Add(1)
+				rec.record(func(tr *Trace) { tr.HedgesFired++ })
 			}
 			raced := inflight > 0 || next < len(arms)
 			inflight++
@@ -348,6 +355,7 @@ func (m *Mediator) raceCopies(ctx context.Context, shard string, expr algebra.No
 			if r.err == nil {
 				if r.hedge {
 					m.hedgesWon.Add(1)
+					rec.record(func(tr *Trace) { tr.HedgesWon++ })
 				}
 				return r.bag, nil
 			}
@@ -587,6 +595,7 @@ func (m *Mediator) submitOnce(ctx context.Context, repo string, expr algebra.Nod
 	if ctx.Err() == nil {
 		if m.allowRetry() {
 			m.retries.Add(1)
+			queryRecorderFrom(ctx).record(func(tr *Trace) { tr.Retried++ })
 			retryBackoff(ctx)
 			if ctx.Err() == nil {
 				bag, err = m.submitAttempt(ctx, repo, expr)
@@ -596,6 +605,7 @@ func (m *Mediator) submitOnce(ctx context.Context, repo string, expr algebra.Nod
 			}
 		} else {
 			m.retryExhausted.Add(1)
+			queryRecorderFrom(ctx).record(func(tr *Trace) { tr.RetryBudgetExhausted++ })
 		}
 	}
 	if errors.As(err, &tr) {

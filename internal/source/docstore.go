@@ -132,7 +132,8 @@ func matchScalar(v types.Value, text string) bool {
 	return v.String() == text
 }
 
-// splitDocQuery splits on whitespace, honoring single-quoted values.
+// splitDocQuery splits on whitespace, honoring single-quoted values; inside
+// quotes a doubled quote stands for one.
 func splitDocQuery(q string) []string {
 	var out []string
 	var cur strings.Builder
@@ -146,6 +147,9 @@ func splitDocQuery(q string) []string {
 	for i := 0; i < len(q); i++ {
 		c := q[i]
 		switch {
+		case c == '\'' && inQuote && i+1 < len(q) && q[i+1] == '\'':
+			cur.WriteByte(c)
+			i++
 		case c == '\'':
 			if inQuote {
 				out = append(out, cur.String()) // may be empty

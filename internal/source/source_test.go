@@ -1,6 +1,7 @@
 package source
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -260,6 +261,25 @@ func TestDocMatchNonString(t *testing.T) {
 	}
 	if b.Len() != 1 {
 		t.Errorf("docs = %d", b.Len())
+	}
+}
+
+func TestSplitDocQuery(t *testing.T) {
+	cases := []struct {
+		q    string
+		want []string
+	}{
+		{`SCAN sites`, []string{"SCAN", "sites"}},
+		{`MATCH sites site 'seine amont'`, []string{"MATCH", "sites", "site", "seine amont"}},
+		{`MATCH sites site ''`, []string{"MATCH", "sites", "site", ""}},
+		{`MATCH sites name 'O''Brien'`, []string{"MATCH", "sites", "name", "O'Brien"}},
+		{`MATCH sites name ''''`, []string{"MATCH", "sites", "name", "'"}},
+		{`GREP sites name 'a''''b'`, []string{"GREP", "sites", "name", "a''b"}},
+	}
+	for _, tc := range cases {
+		if got := splitDocQuery(tc.q); !slices.Equal(got, tc.want) {
+			t.Errorf("splitDocQuery(%q) = %q, want %q", tc.q, got, tc.want)
+		}
 	}
 }
 

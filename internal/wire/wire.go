@@ -196,11 +196,10 @@ type Server struct {
 	unavailable atomic.Bool
 	latencyNs   atomic.Int64
 
-	// maxConnInflight caps concurrent requests per connection; srvSem,
-	// when non-nil, caps them across the whole server. Requests beyond
+	// srvSem, when non-nil, caps concurrent requests across the whole
+	// server (DefaultMaxInflight caps them per connection). Requests beyond
 	// either cap are shed with an overload frame, not queued.
-	maxConnInflight int
-	srvSem          chan struct{}
+	srvSem chan struct{}
 
 	inflight atomic.Int64
 	stats    Stats
@@ -208,18 +207,6 @@ type Server struct {
 
 // ServerOption configures a Server.
 type ServerOption func(*Server)
-
-// WithMaxInflight caps how many requests one connection may have executing
-// concurrently; beyond it the server sheds with an overload frame instead
-// of silently stalling the connection's read loop (the pre-overload-frame
-// behaviour). Non-positive keeps DefaultMaxInflight.
-func WithMaxInflight(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxConnInflight = n
-		}
-	}
-}
 
 // WithMaxServerInflight caps concurrent request execution across every
 // connection of the server — the admission bound that keeps a popular
@@ -240,7 +227,7 @@ func NewServer(addr string, h Handler, opts ...ServerOption) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: listen %s: %w", addr, err)
 	}
-	s := &Server{handler: h, lis: lis, done: make(chan struct{}), maxConnInflight: DefaultMaxInflight}
+	s := &Server{handler: h, lis: lis, done: make(chan struct{})}
 	//lint:allow ctxflow server lifetime root: there is no caller context to inherit; per-request contexts derive from it with the propagated budget
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	for _, o := range opts {
@@ -397,7 +384,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// handlers — nobody is left to read their answers — so the Wait above
 	// drains promptly instead of letting abandoned work run to completion.
 	defer func() { s.stats.Cancelled.Add(int64(reg.cancelAll())) }()
-	sem := make(chan struct{}, s.maxConnInflight)
+	sem := make(chan struct{}, DefaultMaxInflight)
 
 	scanner := bufio.NewScanner(conn)
 	scanner.Buffer(make([]byte, 0, 64*1024), maxFrameBytes)
@@ -442,7 +429,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		select {
 		case sem <- struct{}{}:
 		default:
-			s.shedRequest(conn, &writeMu, req.ID, fmt.Sprintf("connection at its in-flight cap (%d)", s.maxConnInflight))
+			s.shedRequest(conn, &writeMu, req.ID, fmt.Sprintf("connection at its in-flight cap (%d)", DefaultMaxInflight))
 			continue
 		}
 		if s.srvSem != nil {

@@ -3,6 +3,7 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"disco/internal/algebra"
 	"disco/internal/capability"
@@ -54,11 +55,12 @@ func (w *Doc) Execute(ctx context.Context, expr algebra.Node) (*types.Bag, error
 		if !ok {
 			return nil, &UnsupportedError{Expr: expr, Wrapper: "doc"}
 		}
+		// A quote inside a value is doubled, the SQL convention sqlLiteral follows.
 		if field, value, ok := equalityParts(x.Pred); ok {
-			return w.q.Query(ctx, fmt.Sprintf("MATCH %s %s '%s'", get.Ref.Extent, field, value))
+			return w.q.Query(ctx, fmt.Sprintf("MATCH %s %s '%s'", get.Ref.Extent, field, strings.ReplaceAll(value, "'", "''")))
 		}
 		if field, value, ok := containsParts(x.Pred); ok {
-			return w.q.Query(ctx, fmt.Sprintf("GREP %s %s '%s'", get.Ref.Extent, field, value))
+			return w.q.Query(ctx, fmt.Sprintf("GREP %s %s '%s'", get.Ref.Extent, field, strings.ReplaceAll(value, "'", "''")))
 		}
 		return nil, &UnsupportedError{Expr: expr, Wrapper: "doc"}
 	default:
